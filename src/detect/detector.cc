@@ -672,8 +672,7 @@ Result<int> CalibratedDetector::CountDetections(const VideoDataset& dataset, int
   const ClassCalibration& cal = calibrations_[static_cast<size_t>(cls)];
   const uint64_t res_bits = static_cast<uint64_t>(resolution);
   const uint64_t cls_bits = static_cast<uint64_t>(cls);
-  const uint64_t contrast_bits =
-      static_cast<uint64_t>(std::llround(contrast_scale * 4096.0));
+  const uint64_t contrast_bits = static_cast<uint64_t>(QuantizeContrast(contrast_scale));
   const double res_factor =
       1.0 + 0.5 * (1.0 - static_cast<double>(resolution) /
                              static_cast<double>(dataset.full_resolution()));
@@ -706,8 +705,7 @@ Status CalibratedDetector::CountBatch(const VideoDataset& dataset,
   const ClassCalibration& cal = calibrations_[static_cast<size_t>(cls)];
   const uint64_t res_bits = static_cast<uint64_t>(resolution);
   const uint64_t cls_bits = static_cast<uint64_t>(cls);
-  const uint64_t contrast_bits =
-      static_cast<uint64_t>(std::llround(contrast_scale * 4096.0));
+  const uint64_t contrast_bits = static_cast<uint64_t>(QuantizeContrast(contrast_scale));
   const double res_factor =
       1.0 + 0.5 * (1.0 - static_cast<double>(resolution) /
                              static_cast<double>(dataset.full_resolution()));

@@ -20,6 +20,7 @@
 #define SMOKESCREEN_DETECT_DETECTOR_H_
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -32,6 +33,20 @@
 
 namespace smokescreen {
 namespace detect {
+
+/// The one contrast quantizer: contrast scales are cut to 1/4096 steps
+/// wherever they key state — the detector's per-frame hash, the memo columns
+/// of query::FrameOutputSource and the `contrast_q` field of the OutputStore
+/// format, and the profiler's candidate groups. Scales within one step share
+/// all of them.
+inline int64_t QuantizeContrast(double contrast_scale) {
+  return std::llround(contrast_scale * 4096.0);
+}
+/// The contrast scale a quantized value stands for (the inverse on the
+/// 1/4096 grid).
+inline double DequantizeContrast(int64_t contrast_q) {
+  return static_cast<double>(contrast_q) / 4096.0;
+}
 
 /// Per-class logistic calibration of a detector at its confidence threshold.
 struct ClassCalibration {

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <map>
 #include <numeric>
 #include <thread>
 #include <utility>
@@ -30,7 +29,7 @@ constexpr int64_t kDefaultParallelChunk = 1024;
 /// dispatch overhead beats the parallel win.
 constexpr int64_t kParallelMissesPerWorker = 32;
 
-// Dense-tier bitmap primitives. Frames index bits; all range operations are
+// Memo-column bitmap primitives. Frames index bits; all range operations are
 // word-wise (a 64-frame span of a cold scan costs one load/store).
 inline bool TestBit(const std::vector<uint64_t>& bits, int64_t i) {
   return (bits[static_cast<size_t>(i >> 6)] >> (i & 63)) & 1u;
@@ -74,30 +73,6 @@ inline bool RangeClear(const std::vector<uint64_t>& ready,
 }
 
 }  // namespace
-
-size_t FrameOutputSource::CacheKeyHash::operator()(const CacheKey& key) const {
-  // Multiplicative mix, a few cycles per key. The hash only picks the shard
-  // and the probe start — equality is decided by the exact composite key —
-  // so distribution quality is a performance concern, not a correctness one,
-  // and the full HashCombine avalanche would be wasted work on the hot
-  // probe path.
-  uint64_t h = static_cast<uint64_t>(key.frame) * 0x9e3779b97f4a7c15ULL;
-  h ^= static_cast<uint64_t>(key.resolution) * 0xbf58476d1ce4e5b9ULL;
-  h ^= static_cast<uint64_t>(key.contrast_q) * 0x94d049bb133111ebULL;
-  h ^= h >> 32;
-  h *= 0xd6e8feb86659fd93ULL;
-  h ^= h >> 32;
-  return static_cast<size_t>(h);
-}
-
-FrameOutputSource::CacheKey FrameOutputSource::MakeCacheKey(int64_t frame_index, int resolution,
-                                                            double contrast_scale) {
-  CacheKey key;
-  key.frame = frame_index;
-  key.resolution = resolution;
-  key.contrast_q = std::llround(contrast_scale * 4096.0);
-  return key;
-}
 
 Status ComputePolicy::Validate() const {
   if (max_attempts < 1) {
@@ -180,298 +155,6 @@ Status FrameOutputSource::RetryCountBatch(std::span<const int64_t> frames, int r
   return status;
 }
 
-FrameOutputSource::Entry* FrameOutputSource::FindEntry(Shard& shard, const CacheKey& key,
-                                                       size_t hash) {
-  shard.mu.AssertHeld();
-  if (shard.table.empty()) return nullptr;
-  const size_t mask = shard.table.size() - 1;
-  size_t idx = (hash >> kShardBits) & mask;
-  for (;;) {
-    Entry& entry = shard.table[idx];
-    if (entry.state == kSlotEmpty) return nullptr;
-    if (entry.state != kSlotTombstone && entry.key == key) return &entry;
-    idx = (idx + 1) & mask;
-  }
-}
-
-void FrameOutputSource::RehashIfNeeded(Shard& shard, size_t incoming) {
-  shard.mu.AssertHeld();
-  // Keep occupancy (live + tombstones) at or below 3/4; grow only when the
-  // live population warrants it, otherwise rebuild at the same size to shed
-  // tombstones (failed claims are rare, so this path almost never runs).
-  if (!shard.table.empty() && (shard.slots_used + incoming) * 4 <= shard.table.size() * 3) return;
-  size_t new_size = shard.table.empty() ? 64 : shard.table.size();
-  while ((shard.live + incoming) * 4 > new_size * 3) new_size *= 2;
-  std::vector<Entry> old_table = std::move(shard.table);
-  shard.table.assign(new_size, Entry{});
-  const size_t mask = new_size - 1;
-  for (const Entry& entry : old_table) {
-    if (entry.state != kSlotInFlight && entry.state != kSlotReady) continue;
-    size_t idx = (static_cast<size_t>(CacheKeyHash{}(entry.key)) >> kShardBits) & mask;
-    while (shard.table[idx].state != kSlotEmpty) idx = (idx + 1) & mask;
-    shard.table[idx] = entry;
-  }
-  shard.slots_used = shard.live;
-  ++shard.generation;
-}
-
-FrameOutputSource::Entry* FrameOutputSource::ClaimEntry(Shard& shard, const CacheKey& key,
-                                                        size_t hash, bool& fresh) {
-  shard.mu.AssertHeld();
-  RehashIfNeeded(shard, 1);
-  const size_t mask = shard.table.size() - 1;
-  size_t idx = (hash >> kShardBits) & mask;
-  Entry* tombstone = nullptr;
-  for (;;) {
-    Entry& entry = shard.table[idx];
-    if (entry.state == kSlotEmpty) {
-      Entry* slot = tombstone != nullptr ? tombstone : &entry;
-      if (tombstone == nullptr) ++shard.slots_used;
-      slot->key = key;
-      slot->state = kSlotInFlight;
-      ++shard.live;
-      fresh = true;
-      return slot;
-    }
-    if (entry.state == kSlotTombstone) {
-      if (tombstone == nullptr) tombstone = &entry;
-    } else if (entry.key == key) {
-      fresh = false;
-      return &entry;
-    }
-    idx = (idx + 1) & mask;
-  }
-}
-
-Result<int> FrameOutputSource::RawCount(int64_t frame_index, int resolution,
-                                        double contrast_scale) {
-  if (dense_enabled()) return RawCountDense(frame_index, resolution, contrast_scale);
-  const CacheKey key = MakeCacheKey(frame_index, resolution, contrast_scale);
-  const size_t hash = CacheKeyHash{}(key);
-  Shard& shard = ShardFor(hash);
-  {
-    util::MutexLock lock(&shard.mu);
-    for (;;) {
-      bool fresh = false;
-      Entry* entry = ClaimEntry(shard, key, hash, fresh);
-      if (entry->state == kSlotReady) {
-        cache_hits_.fetch_add(1, std::memory_order_relaxed);
-        metrics_.hits->Increment();
-        return entry->count;
-      }
-      if (fresh) break;
-      // Another thread is invoking the model on this exact key; wait, then
-      // re-claim (the computation may have failed — tombstoning its entry —
-      // in which case our re-claim takes over).
-      metrics_.inflight_waits->Increment();
-      shard.cv.Wait(shard.mu);
-    }
-  }
-  // The model runs OUTSIDE the shard lock so that concurrent misses on
-  // different keys overlap; the IN_FLIGHT entry keeps this key
-  // computed-exactly-once.
-  Result<int> count = detector_.CountDetections(dataset_, frame_index, resolution, target_class_,
-                                                contrast_scale);
-  {
-    util::MutexLock lock(&shard.mu);
-    // Re-probe: a concurrent insert may have rehashed the table, so no
-    // Entry* survives the unlocked section.
-    Entry* entry = FindEntry(shard, key, hash);
-    if (count.ok()) {
-      model_invocations_.fetch_add(1, std::memory_order_relaxed);
-      metrics_.invocations->Increment();
-      entry->count = *count;
-      entry->state = kSlotReady;
-    } else {
-      entry->state = kSlotTombstone;
-      --shard.live;
-    }
-  }
-  shard.cv.NotifyAll();
-  return count;
-}
-
-Status FrameOutputSource::FillCountsChunk(std::span<const int64_t> frame_indices, int resolution,
-                                          double contrast_scale, std::span<int> out) {
-  const size_t n = frame_indices.size();
-  if (n == 0) return Status::OK();
-
-  // Phase 0: derive keys and partition request slots by shard with a
-  // counting sort, so phase 1 can walk each shard's slots contiguously. The
-  // key hash is computed once per slot and reused for both the shard pick
-  // and the table probes.
-  std::vector<CacheKey> keys(n);
-  std::vector<size_t> hashes(n);
-  std::vector<uint32_t> shard_of(n);
-  std::array<uint32_t, kNumShards> shard_count{};
-  // Resolution and contrast are chunk constants; only the frame varies.
-  const CacheKey base_key = MakeCacheKey(0, resolution, contrast_scale);
-  for (size_t i = 0; i < n; ++i) {
-    keys[i] = base_key;
-    keys[i].frame = frame_indices[i];
-    hashes[i] = CacheKeyHash{}(keys[i]);
-    shard_of[i] = static_cast<uint32_t>(hashes[i] & static_cast<size_t>(kNumShards - 1));
-    ++shard_count[shard_of[i]];
-  }
-  std::array<uint32_t, kNumShards + 1> shard_start{};
-  for (int s = 0; s < kNumShards; ++s) shard_start[s + 1] = shard_start[s] + shard_count[s];
-  std::vector<uint32_t> slots_by_shard(n);
-  {
-    std::array<uint32_t, kNumShards> cursor = {};
-    for (int s = 0; s < kNumShards; ++s) cursor[s] = shard_start[s];
-    for (size_t i = 0; i < n; ++i) slots_by_shard[cursor[shard_of[i]]++] = static_cast<uint32_t>(i);
-  }
-
-  // Intra-batch duplicate detection. Within one chunk the resolution and
-  // contrast are fixed, so a key duplicates another slot's key exactly when
-  // the frames are equal — a flat open-addressed table keyed by frame alone
-  // replaces a node-based key map. INT64_MIN is the empty sentinel (never a
-  // valid frame index; an invalid request containing it fails validation in
-  // CountBatch before duplicates matter).
-  const size_t dedup_size = std::bit_ceil(2 * n + 1);
-  const size_t dedup_mask = dedup_size - 1;
-  std::vector<int64_t> dedup_frame(dedup_size, INT64_MIN);
-  std::vector<uint32_t> dedup_ordinal(dedup_size);
-
-  // Phase 1: probe each touched shard under ONE lock acquisition and
-  // classify every slot: ready hit, duplicate of a key this call already
-  // claimed, in flight on another thread, or a fresh claim. Equal keys
-  // always land in the same shard, so one claimed-frame table is race-free.
-  std::vector<int64_t> miss_frames;
-  std::vector<uint32_t> miss_slot;      // First request slot per claimed key.
-  std::vector<uint32_t> miss_shard;     // Shard index per claimed key (nondecreasing).
-  std::vector<uint32_t> miss_entry;     // Table index of the claim at claim time.
-  miss_frames.reserve(n);
-  miss_slot.reserve(n);
-  miss_shard.reserve(n);
-  miss_entry.reserve(n);
-  std::array<uint64_t, kNumShards> shard_generation{};
-  std::vector<std::pair<uint32_t, uint32_t>> dup_fills;  // (slot, miss ordinal).
-  std::vector<uint32_t> waiter_slots;
-  int64_t probe_hits = 0;
-  for (int s = 0; s < kNumShards; ++s) {
-    if (shard_count[s] == 0) continue;
-    Shard& shard = shards_[static_cast<size_t>(s)];
-    util::MutexLock lock(&shard.mu);
-    // Size the table for the worst case (every slot a fresh claim) up
-    // front: at most one rehash per shard per chunk, and ClaimEntry's
-    // per-call check stays on its cheap no-op path.
-    RehashIfNeeded(shard, shard_count[s]);
-    shard_generation[s] = shard.generation;
-    for (uint32_t p = shard_start[s]; p < shard_start[s + 1]; ++p) {
-      const uint32_t slot = slots_by_shard[p];
-      const int64_t frame = frame_indices[slot];
-      // Duplicate-of-claimed check first: it is lock-free local state, and a
-      // duplicate's shard entry would read IN_FLIGHT (our own claim), which
-      // must not be confused with another thread's.
-      const size_t fh = static_cast<size_t>(frame) * 0x9e3779b97f4a7c15ULL;
-      size_t d = (fh ^ (fh >> 32)) & dedup_mask;
-      bool is_dup = false;
-      while (dedup_frame[d] != INT64_MIN) {
-        if (dedup_frame[d] == frame) {
-          dup_fills.emplace_back(slot, dedup_ordinal[d]);
-          is_dup = true;
-          break;
-        }
-        d = (d + 1) & dedup_mask;
-      }
-      if (is_dup) continue;
-      bool fresh = false;
-      Entry* entry = ClaimEntry(shard, keys[slot], hashes[slot], fresh);
-      if (entry->state == kSlotReady) {
-        out[slot] = entry->count;
-        ++probe_hits;
-        continue;
-      }
-      if (!fresh) {
-        // IN_FLIGHT on another thread (our own claims are caught by the
-        // dedup table above).
-        waiter_slots.push_back(slot);
-        continue;
-      }
-      dedup_frame[d] = frame;
-      dedup_ordinal[d] = static_cast<uint32_t>(miss_frames.size());
-      miss_slot.push_back(slot);
-      miss_shard.push_back(static_cast<uint32_t>(s));
-      miss_entry.push_back(static_cast<uint32_t>(entry - shard.table.data()));
-      miss_frames.push_back(frame);
-    }
-  }
-  if (probe_hits > 0) {
-    cache_hits_.fetch_add(probe_hits, std::memory_order_relaxed);
-    metrics_.hits->Add(probe_hits);
-  }
-
-  // Phase 2: the claimed misses are computed outside all shard locks — one
-  // batched model invocation, or a chunked fan-out on the configured pool
-  // when the miss-batch is large (see ComputeMisses).
-  std::vector<int> miss_counts(miss_frames.size());
-  Status batch_status = Status::OK();
-  if (!miss_frames.empty()) {
-    batch_status = ComputeMisses(miss_frames, resolution, contrast_scale, miss_counts);
-  }
-
-  // Phase 3: install (or on failure, release) the claims shard by shard.
-  // miss_shard is nondecreasing because phase 1 visited shards in order, so
-  // each shard is locked once here too. Each install re-probes by key and
-  // flips the claimed entry in place — concurrent inserts may have rehashed
-  // the shard since phase 1, so entry pointers were not retained.
-  size_t m = 0;
-  while (m < miss_frames.size()) {
-    const uint32_t s = miss_shard[m];
-    Shard& shard = shards_[s];
-    {
-      util::MutexLock lock(&shard.mu);
-      // Unchanged generation (the common case): claims still sit at their
-      // recorded indices. A concurrent insert may have rehashed the shard,
-      // moving entries — then fall back to probing by key.
-      const bool use_index = shard.generation == shard_generation[s];
-      for (; m < miss_frames.size() && miss_shard[m] == s; ++m) {
-        const uint32_t slot = miss_slot[m];
-        Entry* entry = use_index ? &shard.table[miss_entry[m]]
-                                 : FindEntry(shard, keys[slot], hashes[slot]);
-        if (batch_status.ok()) {
-          entry->count = miss_counts[m];
-          entry->state = kSlotReady;
-          out[slot] = miss_counts[m];
-        } else {
-          entry->state = kSlotTombstone;
-          --shard.live;
-        }
-      }
-    }
-    shard.cv.NotifyAll();
-  }
-  if (!batch_status.ok()) return batch_status;
-  if (!miss_frames.empty()) {
-    // A batch over N distinct keys counts as exactly N model invocations —
-    // the same total the scalar path reports.
-    model_invocations_.fetch_add(static_cast<int64_t>(miss_frames.size()),
-                                 std::memory_order_relaxed);
-    metrics_.invocations->Add(static_cast<int64_t>(miss_frames.size()));
-    metrics_.miss_batch_size->Observe(static_cast<double>(miss_frames.size()));
-  }
-
-  // Duplicates of keys this call computed resolve from the fresh results and
-  // count as cache hits, matching the scalar path (first occurrence misses,
-  // repeats hit).
-  for (const auto& [slot, ordinal] : dup_fills) {
-    out[slot] = miss_counts[ordinal];
-  }
-  if (!dup_fills.empty()) {
-    cache_hits_.fetch_add(static_cast<int64_t>(dup_fills.size()), std::memory_order_relaxed);
-    metrics_.hits->Add(static_cast<int64_t>(dup_fills.size()));
-  }
-
-  // Keys another thread had in flight fall back to the scalar wait-and-retry
-  // path, which preserves exactly-once compute and exact hit accounting.
-  for (uint32_t slot : waiter_slots) {
-    SMK_ASSIGN_OR_RETURN(out[slot],
-                         RawCount(frame_indices[slot], resolution, contrast_scale));
-  }
-  return Status::OK();
-}
-
 Status FrameOutputSource::ComputeMisses(std::span<const int64_t> miss_frames, int resolution,
                                         double contrast_scale, std::span<int> miss_counts) {
   const int64_t n = static_cast<int64_t>(miss_frames.size());
@@ -527,6 +210,19 @@ Status FrameOutputSource::ComputeMisses(std::span<const int64_t> miss_frames, in
   return Status::OK();
 }
 
+FrameOutputSource::Column& FrameOutputSource::ColumnFor(int resolution, int64_t contrast_q) {
+  util::MutexLock lock(&columns_mu_);
+  std::unique_ptr<Column>& slot = columns_[{resolution, contrast_q}];
+  if (slot == nullptr) {
+    slot = std::make_unique<Column>();
+    const size_t num_frames = static_cast<size_t>(dataset_.num_frames());
+    slot->counts.assign(num_frames, 0);
+    slot->ready.assign((num_frames + 63) / 64, 0);
+    slot->inflight.assign((num_frames + 63) / 64, 0);
+  }
+  return *slot;
+}
+
 Status FrameOutputSource::FillCounts(std::span<const int64_t> frame_indices, int resolution,
                                      double contrast_scale, std::span<int> out) {
   if (out.size() != frame_indices.size()) {
@@ -538,33 +234,10 @@ Status FrameOutputSource::FillCounts(std::span<const int64_t> frame_indices, int
   // per CountBatch call (ComputeMisses chunks the miss set), not the probe
   // round, so a large cold request's misses fan out across the whole pool
   // instead of being strangled to one max_batch_size-sized round at a time.
-  if (dense_enabled()) {
-    return FillCountsDense(frame_indices, resolution, contrast_scale, out);
-  }
-  return FillCountsChunk(frame_indices, resolution, contrast_scale, out);
-}
-
-FrameOutputSource::DenseColumn& FrameOutputSource::DenseColumnFor(int resolution,
-                                                                  int64_t contrast_q) {
-  util::MutexLock lock(&dense_mu_);
-  std::unique_ptr<DenseColumn>& slot = dense_columns_[{resolution, contrast_q}];
-  if (slot == nullptr) {
-    slot = std::make_unique<DenseColumn>();
-    const size_t num_frames = static_cast<size_t>(dataset_.num_frames());
-    slot->counts.assign(num_frames, 0);
-    slot->ready.assign((num_frames + 63) / 64, 0);
-    slot->inflight.assign((num_frames + 63) / 64, 0);
-  }
-  return *slot;
-}
-
-Status FrameOutputSource::FillCountsDense(std::span<const int64_t> frame_indices, int resolution,
-                                          double contrast_scale, std::span<int> out) {
   const size_t n = frame_indices.size();
   const int64_t num_frames = dataset_.num_frames();
-  // Frames must be in range before they index the bitmaps (the sharded tier
-  // defers this check to CountBatch; same error either way). The
-  // contiguity test rides along in the same pass.
+  // Frames must be in range before they index the bitmaps. The contiguity
+  // test rides along in the same pass.
   bool contiguous = true;
   for (size_t i = 0; i < n; ++i) {
     const int64_t frame = frame_indices[i];
@@ -575,7 +248,7 @@ Status FrameOutputSource::FillCountsDense(std::span<const int64_t> frame_indices
     contiguous = contiguous && frame == frame_indices[0] + static_cast<int64_t>(i);
   }
 
-  DenseColumn& col = DenseColumnFor(resolution, std::llround(contrast_scale * 4096.0));
+  Column& col = ColumnFor(resolution, detect::QuantizeContrast(contrast_scale));
 
   // Fast path: a contiguous fully cold range (the profiler's full scans,
   // the kernel bench) claims all its bits word-wise, lets the model write
@@ -600,7 +273,7 @@ Status FrameOutputSource::FillCountsDense(std::span<const int64_t> frame_indices
                     col.counts.begin() + static_cast<ptrdiff_t>(f0));
           SetRange(col.ready, f0, static_cast<int64_t>(n));
         }
-        // A failed batch releases its claim (the sharded tier's tombstone).
+        // A failed batch releases its claim.
         ClearRange(col.inflight, f0, static_cast<int64_t>(n));
       }
       col.cv.NotifyAll();
@@ -612,11 +285,11 @@ Status FrameOutputSource::FillCountsDense(std::span<const int64_t> frame_indices
     }
   }
 
-  // General path: per-frame bit probes under one lock acquisition, with the
-  // same classification as the sharded tier — ready hit, duplicate of a
-  // frame this call already claimed, in flight on another thread, or a
-  // fresh claim. The local `ours` bitmap distinguishes this call's own
-  // in-flight bits from other threads' (duplicates within the request).
+  // General path: per-frame bit probes under one lock acquisition. Each
+  // slot is a ready hit, a duplicate of a frame this call already claimed,
+  // in flight on another thread, or a fresh claim. The local `ours` bitmap
+  // distinguishes this call's own in-flight bits from other threads'
+  // (duplicates within the request).
   std::vector<uint64_t> ours(static_cast<size_t>((num_frames + 63) / 64), 0);
   std::vector<int64_t> miss_frames;
   std::vector<uint32_t> miss_slot;
@@ -694,19 +367,19 @@ Status FrameOutputSource::FillCountsDense(std::span<const int64_t> frame_indices
   // accounting.
   for (uint32_t slot : waiter_slots) {
     SMK_ASSIGN_OR_RETURN(out[slot],
-                         RawCountDense(frame_indices[slot], resolution, contrast_scale));
+                         RawCount(frame_indices[slot], resolution, contrast_scale));
   }
   return Status::OK();
 }
 
-Result<int> FrameOutputSource::RawCountDense(int64_t frame_index, int resolution,
-                                             double contrast_scale) {
+Result<int> FrameOutputSource::RawCount(int64_t frame_index, int resolution,
+                                        double contrast_scale) {
   const int64_t num_frames = dataset_.num_frames();
   if (frame_index < 0 || frame_index >= num_frames) {
     return Status::OutOfRange("frame index " + std::to_string(frame_index) + " out of [0, " +
                               std::to_string(num_frames) + ")");
   }
-  DenseColumn& col = DenseColumnFor(resolution, std::llround(contrast_scale * 4096.0));
+  Column& col = ColumnFor(resolution, detect::QuantizeContrast(contrast_scale));
   {
     util::MutexLock lock(&col.mu);
     for (;;) {
@@ -833,50 +506,26 @@ Result<std::vector<double>> FrameOutputSource::AllOutputs(const QuerySpec& spec,
 }
 
 OutputStore FrameOutputSource::ExportStore() {
-  // Group cached entries by (resolution, contrast_q); each group becomes one
-  // column with frames sorted ascending, so exports are deterministic
-  // regardless of hash-map iteration order.
-  std::map<std::pair<int, int64_t>, std::vector<std::pair<int64_t, int>>> groups;
-  for (Shard& shard : shards_) {
-    util::MutexLock lock(&shard.mu);
-    for (const Entry& entry : shard.table) {
-      if (entry.state != kSlotReady) continue;
-      groups[{entry.key.resolution, entry.key.contrast_q}].emplace_back(entry.key.frame,
-                                                                        entry.count);
-    }
-  }
-  // The dense tier holds every entry when it is enabled (and nothing
-  // otherwise); scanning both keeps this correct regardless of how the tier
-  // threshold was configured. Ready bits are walked in frame order, so the
-  // harvested pairs arrive pre-sorted.
-  {
-    util::MutexLock dense_lock(&dense_mu_);
-    for (auto& [group_key, col_ptr] : dense_columns_) {
-      DenseColumn& col = *col_ptr;
-      util::MutexLock lock(&col.mu);
-      std::vector<std::pair<int64_t, int>>& entries = groups[group_key];
-      for (size_t w = 0; w < col.ready.size(); ++w) {
-        uint64_t bits = col.ready[w];
-        while (bits != 0) {
-          const int64_t frame = static_cast<int64_t>(w) * 64 + std::countr_zero(bits);
-          entries.emplace_back(frame, col.counts[static_cast<size_t>(frame)]);
-          bits &= bits - 1;
-        }
-      }
-    }
-  }
+  // One store column per memo column, in (resolution, contrast_q) order.
+  // Ready bits are walked in frame order, so frames come out sorted
+  // ascending and exports are deterministic.
   OutputStore store(dataset_.dataset_id(), detector_.model_id(), dataset_.num_frames());
-  for (auto& [group_key, entries] : groups) {
-    std::sort(entries.begin(), entries.end());
+  util::MutexLock columns_lock(&columns_mu_);
+  for (auto& [key, col_ptr] : columns_) {
+    Column& col = *col_ptr;
     OutputColumnRecord column;
-    column.resolution = group_key.first;
+    column.resolution = key.first;
     column.cls = static_cast<int>(target_class_);
-    column.contrast_q = group_key.second;
-    column.frames.reserve(entries.size());
-    column.counts.reserve(entries.size());
-    for (const auto& [frame, count] : entries) {
-      column.frames.push_back(frame);
-      column.counts.push_back(count);
+    column.contrast_q = key.second;
+    util::MutexLock lock(&col.mu);
+    for (size_t w = 0; w < col.ready.size(); ++w) {
+      uint64_t bits = col.ready[w];
+      while (bits != 0) {
+        const int64_t frame = static_cast<int64_t>(w) * 64 + std::countr_zero(bits);
+        column.frames.push_back(frame);
+        column.counts.push_back(col.counts[static_cast<size_t>(frame)]);
+        bits &= bits - 1;
+      }
     }
     store.AddColumn(std::move(column));
   }
@@ -905,50 +554,22 @@ Result<int64_t> FrameOutputSource::Preload(const OutputStore& store) {
     if (column.frames.size() != column.counts.size()) {
       return Status::InvalidArgument("output store column has mismatched frame/count arrays");
     }
-    if (dense_enabled()) {
-      // Dense tier: install the whole column under one lock. Preloaded
-      // entries do not bump the counters (they were not computed in this
-      // run); entries already present — ready, or in flight on a concurrent
-      // thread — are left alone.
-      DenseColumn& col = DenseColumnFor(column.resolution, column.contrast_q);
-      util::MutexLock lock(&col.mu);
-      for (size_t i = 0; i < column.frames.size(); ++i) {
-        const int64_t frame = column.frames[i];
-        if (frame < 0 || frame >= dataset_.num_frames()) {
-          return Status::OutOfRange("output store frame " + std::to_string(frame) +
-                                    " out of [0, " + std::to_string(dataset_.num_frames()) +
-                                    ")");
-        }
-        if (TestBit(col.ready, frame) || TestBit(col.inflight, frame)) continue;
-        col.counts[static_cast<size_t>(frame)] = column.counts[i];
-        SetBit(col.ready, frame);
-        ++loaded;
-      }
-      continue;
-    }
+    // Install the whole column under one lock. Preloaded entries do not
+    // bump the counters: they were not computed (nor requested) in this
+    // run. Entries already present — ready, or in flight on a concurrent
+    // thread — are left alone.
+    Column& col = ColumnFor(column.resolution, column.contrast_q);
+    util::MutexLock lock(&col.mu);
     for (size_t i = 0; i < column.frames.size(); ++i) {
       const int64_t frame = column.frames[i];
       if (frame < 0 || frame >= dataset_.num_frames()) {
         return Status::OutOfRange("output store frame " + std::to_string(frame) +
                                   " out of [0, " + std::to_string(dataset_.num_frames()) + ")");
       }
-      CacheKey key;
-      key.frame = frame;
-      key.resolution = column.resolution;
-      key.contrast_q = column.contrast_q;
-      const size_t hash = CacheKeyHash{}(key);
-      Shard& shard = ShardFor(hash);
-      util::MutexLock lock(&shard.mu);
-      // Preloaded entries do not bump the counters: they were not computed
-      // (nor requested) in this run. An entry already present (ready, or in
-      // flight on a concurrent thread) is left alone.
-      bool fresh = false;
-      Entry* entry = ClaimEntry(shard, key, hash, fresh);
-      if (fresh) {
-        entry->count = column.counts[i];
-        entry->state = kSlotReady;
-        ++loaded;
-      }
+      if (TestBit(col.ready, frame) || TestBit(col.inflight, frame)) continue;
+      col.counts[static_cast<size_t>(frame)] = column.counts[i];
+      SetBit(col.ready, frame);
+      ++loaded;
     }
   }
   return loaded;
@@ -997,7 +618,7 @@ Result<FrameOutputSource::RepairReport> FrameOutputSource::RepairStore(util::Env
     recomputed.contrast_q = q.contrast_q;
     recomputed.frames = q.frames;
     recomputed.counts.resize(q.frames.size());
-    const double contrast_scale = static_cast<double>(q.contrast_q) / 4096.0;
+    const double contrast_scale = detect::DequantizeContrast(q.contrast_q);
     SMK_RETURN_IF_ERROR(
         FillCounts(recomputed.frames, q.resolution, contrast_scale, recomputed.counts));
     ++report.columns_recomputed;

@@ -7,11 +7,11 @@
 // runs. OutputStore persists a FrameOutputSource cache snapshot so a later
 // run can warm-start and answer those triples as pure cache reads.
 //
-// v2 file layout (native little-endian, fixed-width fields):
+// File layout (native little-endian, fixed-width fields):
 //
 //   header:
 //     u32  magic        "SMKC" (0x434b4d53)
-//     u32  version      (2; v1 files remain readable)
+//     u32  version      (2; any other version is rejected)
 //     u64  dataset_id
 //     u64  model_id
 //     i64  num_frames   (of the dataset the counts were computed on)
@@ -20,7 +20,7 @@
 //   per column (x num_columns):
 //     i32  resolution
 //     i32  cls          (video::ObjectClass value)
-//     i64  contrast_q   (contrast quantized to 1/4096 steps)
+//     i64  contrast_q   (detect::QuantizeContrast of the contrast scale)
 //     i64  num_entries
 //     u32  frames_crc   CRC32 of the frames[] bytes
 //     u32  counts_crc   CRC32 of the counts[] bytes
@@ -28,10 +28,7 @@
 //     i64  frames[num_entries]   (sorted ascending)
 //     i32  counts[num_entries]
 //
-// The v1 layout differed only per column: a single `payload_crc` covered
-// frames[] + counts[] jointly and there was no meta CRC.
-//
-// Why three CRCs per column in v2: salvage granularity. `meta_crc` proves
+// Why three CRCs per column: salvage granularity. `meta_crc` proves
 // the column SKELETON (lengths, identity), so a reader can step over a
 // column whose payload is rotten and keep loading the rest of the file.
 // Splitting `frames_crc` from `counts_crc` makes the common corruption case
@@ -64,6 +61,7 @@ namespace query {
 struct OutputColumnRecord {
   int resolution = 0;
   int cls = 0;
+  /// detect::QuantizeContrast(contrast_scale): 1/4096 steps, the memo's key.
   int64_t contrast_q = 0;
   /// Parallel arrays; frames sorted ascending, counts[i] is the raw detector
   /// count for frames[i].
@@ -79,9 +77,6 @@ enum class ColumnVerdict {
   kCountsCorrupt,
   /// Frame list fails its CRC (counts alone are meaningless without it).
   kFramesCorrupt,
-  /// v1 only: the joint payload CRC fails; frames and counts cannot be told
-  /// apart, so nothing in the column is trustworthy.
-  kPayloadCorrupt,
   /// Column metadata fails its CRC; lengths are untrusted, so this column
   /// AND everything after it are unreachable.
   kMetaCorrupt,
@@ -141,7 +136,7 @@ class OutputStore {
     return total;
   }
 
-  /// Serializes the store to its v2 byte image (exposed for tests and for
+  /// Serializes the store to its byte image (exposed for tests and for
   /// callers that persist through their own channel).
   util::Result<std::vector<unsigned char>> Serialize() const;
 
@@ -155,8 +150,8 @@ class OutputStore {
 
   /// Strict read: every CRC must verify. IoError on missing/unreadable
   /// files, InvalidArgument on bad magic/unknown version, DataLoss on
-  /// truncation or any CRC mismatch. Reads v1 and v2 files. `registry`
-  /// receives the salvage verdict tallies (nullptr = the process default).
+  /// truncation or any CRC mismatch. `registry` receives the salvage
+  /// verdict tallies (nullptr = the process default).
   static util::Result<OutputStore> Load(util::Env& env, const std::string& path,
                                         util::MetricsRegistry* registry = nullptr);
   static util::Result<OutputStore> Load(const std::string& path);
@@ -165,12 +160,11 @@ class OutputStore {
   /// rest into the report — partial corruption degrades the warm-start
   /// instead of discarding it. Fails (like Load) only when the file itself
   /// is unreadable or the HEADER is untrusted: nothing below a bad header
-  /// can be attributed to this store. Reads v1 and v2 files. The verdict
-  /// tallies (output_store.salvage.*) go to `registry`; nullptr means the
-  /// process default. (They used to bind to the default registry via
-  /// function-local statics, which silently leaked counts past
-  /// set_metrics_registry-style test isolation — the injected registry is
-  /// looked up per call instead.)
+  /// can be attributed to this store. The verdict tallies
+  /// (output_store.salvage.*) go to `registry`; nullptr means the process
+  /// default. (They used to bind to the default registry via function-local
+  /// statics, which silently leaked counts past set_metrics_registry-style
+  /// test isolation — the injected registry is looked up per call instead.)
   static util::Result<SalvageResult> Salvage(util::Env& env, const std::string& path,
                                              util::MetricsRegistry* registry = nullptr);
   static util::Result<SalvageResult> Salvage(const std::string& path);

@@ -1,5 +1,5 @@
 // Second integration suite: cross-module workflows added after the core
-// pipeline — interpolation over generated profiles, trace-driven estimation,
+// pipeline — interpolation over generated profiles, store-driven estimation,
 // admin session over real profiles, threshold adjustment, CLI-style parsing
 // into execution.
 
@@ -17,7 +17,6 @@
 #include "detect/models.h"
 #include "query/executor.h"
 #include "query/parser.h"
-#include "query/trace.h"
 #include "stats/sampling.h"
 #include "video/presets.h"
 
@@ -134,33 +133,37 @@ TEST_F(WorkflowTest, ProfileSurvivesPersistenceIntoAdminSession) {
   std::remove(path.c_str());
 }
 
-TEST_F(WorkflowTest, TraceDrivenEstimationMatchesLive) {
-  // Record a trace at 320px, then estimate from it; the bound must equal a
-  // live estimation over the same sampled frames.
-  auto trace = query::OutputTrace::Record(*source_, {320});
-  ASSERT_TRUE(trace.ok());
+TEST_F(WorkflowTest, StoreDrivenEstimationMatchesLive) {
+  // Export the memo of a full 320px scan and warm a second source from it;
+  // estimating from the warm source must see exactly the live detector
+  // outputs without one model invocation, and so give the same bound.
   query::QuerySpec spec;
-  auto trace_outputs = trace->Outputs(spec, 320);
-  ASSERT_TRUE(trace_outputs.ok());
+  ASSERT_TRUE(source_->AllOutputs(spec, 320).ok());
+  query::FrameOutputSource warm(*dataset_, yolo_, ObjectClass::kCar);
+  auto preloaded = warm.Preload(source_->ExportStore());
+  ASSERT_TRUE(preloaded.ok());
+  EXPECT_EQ(*preloaded, dataset_->num_frames());
 
   stats::Rng rng(5);
   auto idx = stats::SampleWithoutReplacement(dataset_->num_frames(), 200, rng);
   ASSERT_TRUE(idx.ok());
-  std::vector<double> trace_sample, live_sample;
+  auto warm_sample = warm.Outputs(spec, *idx, 320);
+  ASSERT_TRUE(warm_sample.ok());
+  EXPECT_EQ(warm.model_invocations(), 0);
+  std::vector<double> live_sample;
   for (int64_t i : *idx) {
-    trace_sample.push_back((*trace_outputs)[static_cast<size_t>(i)]);
-    auto live = source_->RawCount(i, 320);
+    auto live = yolo_.CountDetections(*dataset_, i, 320, ObjectClass::kCar, 1.0);
     ASSERT_TRUE(live.ok());
     live_sample.push_back(spec.TransformOutput(*live));
   }
-  EXPECT_EQ(trace_sample, live_sample);
+  EXPECT_EQ(*warm_sample, live_sample);
 
   core::SmokescreenMeanEstimator est;
-  auto from_trace = est.EstimateMean(trace_sample, dataset_->num_frames(), 0.05);
+  auto from_store = est.EstimateMean(*warm_sample, dataset_->num_frames(), 0.05);
   auto from_live = est.EstimateMean(live_sample, dataset_->num_frames(), 0.05);
-  ASSERT_TRUE(from_trace.ok());
+  ASSERT_TRUE(from_store.ok());
   ASSERT_TRUE(from_live.ok());
-  EXPECT_EQ(from_trace->err_b, from_live->err_b);
+  EXPECT_EQ(from_store->err_b, from_live->err_b);
 }
 
 TEST_F(WorkflowTest, ParsedQueryDrivesEstimation) {

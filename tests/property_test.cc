@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "core/avg_estimator.h"
 #include "core/estimator_api.h"
@@ -224,6 +225,12 @@ struct QuantileParam {
   bool is_max;
   int64_t sample_size;
 };
+
+// Without this gtest names each case by the struct's raw bytes, and the
+// padding after `is_max` is uninitialized, so case names changed per process.
+void PrintTo(const QuantileParam& p, std::ostream* os) {
+  *os << "r=" << p.r << (p.is_max ? " max" : " min") << " n=" << p.sample_size;
+}
 
 class QuantileCoverageProperty : public ::testing::TestWithParam<QuantileParam> {};
 

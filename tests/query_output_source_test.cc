@@ -1,6 +1,8 @@
-// FrameOutputSource cache correctness: the exact composite key (collision
-// regression for the old single-64-bit-hash key) and thread safety of the
-// sharded memo under concurrent overlapping access.
+// FrameOutputSource memo correctness: every (frame, resolution, contrast)
+// triple resolves to its own detector output, contrast keys at 1/4096
+// steps, exactly-once accounting under concurrent overlapping access, the
+// pooled miss path, the retry/watchdog policy and the metric mirrors, on
+// small datasets and on a 140,000-frame one.
 
 #include "query/output_source.h"
 
@@ -13,7 +15,6 @@
 #include <numeric>
 #include <set>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "detect/models.h"
@@ -27,9 +28,6 @@ namespace {
 
 using video::ObjectClass;
 using video::ScenePreset;
-
-using CacheKey = FrameOutputSource::CacheKey;
-using CacheKeyHash = FrameOutputSource::CacheKeyHash;
 
 class OutputSourceTest : public ::testing::Test {
  protected:
@@ -45,71 +43,17 @@ class OutputSourceTest : public ::testing::Test {
   std::unique_ptr<FrameOutputSource> source_;
 };
 
-TEST(CacheKeyTest, EqualityComparesAllFields) {
-  CacheKey a = FrameOutputSource::MakeCacheKey(7, 320, 1.0);
-  EXPECT_EQ(a, FrameOutputSource::MakeCacheKey(7, 320, 1.0));
-  EXPECT_FALSE(a == FrameOutputSource::MakeCacheKey(8, 320, 1.0));
-  EXPECT_FALSE(a == FrameOutputSource::MakeCacheKey(7, 352, 1.0));
-  EXPECT_FALSE(a == FrameOutputSource::MakeCacheKey(7, 320, 0.5));
-}
-
-TEST(CacheKeyTest, ContrastIsQuantizedAt4096Steps) {
-  // Same quantization bucket -> same key (intended sharing) ...
-  EXPECT_EQ(FrameOutputSource::MakeCacheKey(1, 320, 0.5),
-            FrameOutputSource::MakeCacheKey(1, 320, 0.5 + 1e-7));
-  // ... different bucket -> different key.
-  EXPECT_FALSE(FrameOutputSource::MakeCacheKey(1, 320, 0.5) ==
-               FrameOutputSource::MakeCacheKey(1, 320, 0.51));
-}
-
-// The old cache was keyed by a single uint64 hash of the triple, so two
-// triples whose hashes collided silently shared one entry — the detector
-// count of whichever was computed first. The composite key must distinguish
-// entries even under a TOTAL hash collision: with a degenerate hash that
-// maps every key to the same bucket, correctness now rests entirely on
-// exact equality, which is the regression this test pins down.
-TEST(CacheKeyTest, CollidingTriplesCannotAlias) {
-  struct CollidingHash {
-    size_t operator()(const CacheKey&) const { return 0; }  // Worst case.
-  };
-  std::unordered_map<CacheKey, int, CollidingHash> cache;
-  CacheKey a = FrameOutputSource::MakeCacheKey(12, 320, 1.0);
-  CacheKey b = FrameOutputSource::MakeCacheKey(977, 608, 0.75);
-  cache.emplace(a, 3);
-  cache.emplace(b, 9);
-  ASSERT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.at(a), 3);
-  EXPECT_EQ(cache.at(b), 9);
-}
-
-TEST_F(OutputSourceTest, ShardCollidingTriplesReturnDistinctCounts) {
-  // Find two (frame, resolution) pairs that land in the same shard (the
-  // sharded cache picks shards from the low hash bits, 64 shards). Under
-  // shard collision the two keys share one map + mutex; they must still
-  // resolve to their own entries.
-  source_->set_dense_max_frames(0);  // This dataset would otherwise use the dense tier.
-  CacheKey first = FrameOutputSource::MakeCacheKey(0, 320, 1.0);
-  size_t first_shard = CacheKeyHash{}(first) % 64;
-  int64_t colliding_frame = -1;
-  for (int64_t frame = 1; frame < dataset_->num_frames(); ++frame) {
-    CacheKey other = FrameOutputSource::MakeCacheKey(frame, 608, 1.0);
-    if (CacheKeyHash{}(other) % 64 == first_shard) {
-      colliding_frame = frame;
-      break;
-    }
-  }
-  ASSERT_GE(colliding_frame, 0) << "no shard collision in 400 frames x 64 shards";
-
-  auto a = source_->RawCount(0, 320);
-  auto b = source_->RawCount(colliding_frame, 608);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  auto direct_a = yolo_.CountDetections(*dataset_, 0, 320, ObjectClass::kCar, 1.0);
-  auto direct_b =
-      yolo_.CountDetections(*dataset_, colliding_frame, 608, ObjectClass::kCar, 1.0);
-  EXPECT_EQ(*a, *direct_a);
-  EXPECT_EQ(*b, *direct_b);
+TEST_F(OutputSourceTest, ContrastIsQuantizedAt4096Steps) {
+  // Contrast scales within one 1/4096 step share a memo entry (intended
+  // sharing) ...
+  ASSERT_TRUE(source_->RawCount(1, 320, 0.5).ok());
+  ASSERT_TRUE(source_->RawCount(1, 320, 0.5 + 1e-7).ok());
+  EXPECT_EQ(source_->model_invocations(), 1);
+  EXPECT_EQ(source_->cache_hits(), 1);
+  // ... the next step over is a different key.
+  ASSERT_TRUE(source_->RawCount(1, 320, 0.51).ok());
   EXPECT_EQ(source_->model_invocations(), 2);
+  EXPECT_EQ(source_->cache_hits(), 1);
 }
 
 TEST_F(OutputSourceTest, EveryTripleMatchesDirectDetectorCall) {
@@ -225,8 +169,8 @@ class ProbeDetector : public detect::SimYoloV4 {
 TEST_F(OutputSourceTest, ParallelMissBatchMatchesSerialBitForBit) {
   // A cold run with the miss-batch fanned out on a pool must produce the
   // same counts and the same invocation accounting as the serial source, at
-  // every (thread count, max batch size, memo tier) combination — including
-  // widths well past the machine's core count.
+  // every (thread count, max batch size) combination — including widths well
+  // past the machine's core count.
   std::vector<int64_t> frames(static_cast<size_t>(dataset_->num_frames()));
   std::iota(frames.begin(), frames.end(), int64_t{0});
 
@@ -236,20 +180,16 @@ TEST_F(OutputSourceTest, ParallelMissBatchMatchesSerialBitForBit) {
 
   for (int threads : {1, 2, 3, 8, 16}) {
     for (int64_t max_batch : {int64_t{0}, int64_t{64}, int64_t{113}}) {
-      for (bool force_sharded : {false, true}) {
-        util::ThreadPool pool(threads);
-        FrameOutputSource cold(*dataset_, yolo_, ObjectClass::kCar);
-        if (force_sharded) cold.set_dense_max_frames(0);
-        cold.set_thread_pool(&pool);
-        cold.set_max_batch_size(max_batch);
-        auto got = cold.RawCounts(frames, 320);
-        ASSERT_TRUE(got.ok());
-        EXPECT_EQ(*got, *want) << "threads " << threads << " max_batch " << max_batch
-                               << " sharded " << force_sharded;
-        EXPECT_EQ(cold.model_invocations(), dataset_->num_frames())
-            << "threads " << threads << " max_batch " << max_batch;
-        EXPECT_EQ(cold.cache_hits(), 0);
-      }
+      util::ThreadPool pool(threads);
+      FrameOutputSource cold(*dataset_, yolo_, ObjectClass::kCar);
+      cold.set_thread_pool(&pool);
+      cold.set_max_batch_size(max_batch);
+      auto got = cold.RawCounts(frames, 320);
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(*got, *want) << "threads " << threads << " max_batch " << max_batch;
+      EXPECT_EQ(cold.model_invocations(), dataset_->num_frames())
+          << "threads " << threads << " max_batch " << max_batch;
+      EXPECT_EQ(cold.cache_hits(), 0);
     }
   }
 }
@@ -375,90 +315,65 @@ TEST_F(OutputSourceTest, ParallelMinChunkShapesBatchesNeverResults) {
 }
 
 // ---------------------------------------------------------------------------
-// Tiered memo: small datasets use the dense bitmap tier, large ones (or
-// set_dense_max_frames(0)) the 64-shard hash tier. The tiers must be
-// observationally identical — counts, accounting, and errors.
+// Large datasets, mixed request shapes and duplicate-heavy batches.
 // ---------------------------------------------------------------------------
 
-TEST_F(OutputSourceTest, TierChoiceNeverChangesCountsOrAccounting) {
-  // Out-of-order request with duplicates, then a warm replay, on both tiers.
-  const std::vector<int64_t> request = {7, 3, 3, 0, 399, 250, 250, 9};
-  FrameOutputSource dense(*dataset_, yolo_, ObjectClass::kCar);  // 400 frames: dense.
-  FrameOutputSource sharded(*dataset_, yolo_, ObjectClass::kCar);
-  sharded.set_dense_max_frames(0);
+TEST_F(OutputSourceTest, LargeDatasetRequestsStayExactAndReplayWarm) {
+  // 140,000 frames: past the 131,072-frame size at which the source once
+  // moved to a separate hash-table memo. The one memo must serve it with the
+  // same exact accounting, range checks and warm replay as a small dataset.
+  auto ds = video::MakePresetScaled(ScenePreset::kUaDetrac, 140000);
+  ASSERT_TRUE(ds.ok());
+  const video::VideoDataset& big = *ds;
+  const int64_t last = big.num_frames() - 1;
+  FrameOutputSource source(big, yolo_, ObjectClass::kCar);
 
-  auto a = dense.RawCounts(request, 320);
-  auto b = sharded.RawCounts(request, 320);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(*a, *b);
-  // 6 distinct keys computed once each; the 2 duplicate slots are hits.
-  EXPECT_EQ(dense.model_invocations(), 6);
-  EXPECT_EQ(sharded.model_invocations(), 6);
-  EXPECT_EQ(dense.cache_hits(), 2);
-  EXPECT_EQ(sharded.cache_hits(), 2);
-
-  // Warm replay: pure hits, identical counts, no new invocations.
-  auto a2 = dense.RawCounts(request, 320);
-  auto b2 = sharded.RawCounts(request, 320);
-  ASSERT_TRUE(a2.ok());
-  ASSERT_TRUE(b2.ok());
-  EXPECT_EQ(*a2, *a);
-  EXPECT_EQ(*b2, *a);
-  EXPECT_EQ(dense.model_invocations(), 6);
-  EXPECT_EQ(sharded.model_invocations(), 6);
-  EXPECT_EQ(dense.cache_hits(), 2 + 8);
-  EXPECT_EQ(sharded.cache_hits(), 2 + 8);
-}
-
-TEST_F(OutputSourceTest, OutOfRangeFramesRejectedIdenticallyInBothTiers) {
-  FrameOutputSource sharded(*dataset_, yolo_, ObjectClass::kCar);
-  sharded.set_dense_max_frames(0);
-  for (FrameOutputSource* source : {source_.get(), &sharded}) {
-    auto high = source->RawCounts({0, dataset_->num_frames()}, 320);
-    ASSERT_FALSE(high.ok());
-    EXPECT_EQ(high.status().code(), util::StatusCode::kOutOfRange);
-    auto low = source->RawCounts({int64_t{-1}}, 320);
-    ASSERT_FALSE(low.ok());
-    EXPECT_EQ(low.status().code(), util::StatusCode::kOutOfRange);
-    // A rejected batch installs nothing and tallies nothing.
-    EXPECT_EQ(source->model_invocations(), 0);
-    EXPECT_EQ(source->cache_hits(), 0);
+  // Out of order, with duplicates near the last frame.
+  const std::vector<int64_t> request = {last, 7, last - 2, 7, 0, last, last - 1, 65536};
+  auto counts = source.RawCounts(request, 320);
+  ASSERT_TRUE(counts.ok());
+  for (size_t i = 0; i < request.size(); ++i) {
+    auto direct = yolo_.CountDetections(big, request[i], 320, ObjectClass::kCar, 1.0);
+    ASSERT_TRUE(direct.ok());
+    EXPECT_EQ((*counts)[i], *direct) << "frame " << request[i];
   }
+  // 6 distinct frames computed once each; the 2 repeated slots are hits.
+  EXPECT_EQ(source.model_invocations(), 6);
+  EXPECT_EQ(source.cache_hits(), 2);
+
+  // One past either end is OutOfRange, batched or scalar, and a rejected
+  // request claims and tallies nothing.
+  for (int64_t frame : {int64_t{-1}, big.num_frames()}) {
+    auto batched = source.RawCounts({0, frame}, 320);
+    ASSERT_FALSE(batched.ok());
+    EXPECT_EQ(batched.status().code(), util::StatusCode::kOutOfRange) << "frame " << frame;
+    auto scalar = source.RawCount(frame, 320);
+    ASSERT_FALSE(scalar.ok());
+    EXPECT_EQ(scalar.status().code(), util::StatusCode::kOutOfRange) << "frame " << frame;
+  }
+  EXPECT_EQ(source.model_invocations(), 6);
+  EXPECT_EQ(source.cache_hits(), 2);
+
+  // ExportStore -> Preload: a fresh source replays the request from the
+  // store alone.
+  OutputStore exported = source.ExportStore();
+  EXPECT_EQ(exported.TotalEntries(), 6);
+  FrameOutputSource warm(big, yolo_, ObjectClass::kCar);
+  auto preloaded = warm.Preload(exported);
+  ASSERT_TRUE(preloaded.ok());
+  EXPECT_EQ(*preloaded, 6);
+  auto replay = warm.RawCounts(request, 320);
+  ASSERT_TRUE(replay.ok());
+  EXPECT_EQ(*replay, *counts);
+  EXPECT_EQ(warm.model_invocations(), 0);
+  EXPECT_EQ(warm.cache_hits(), static_cast<int64_t>(request.size()));
 }
 
-TEST_F(OutputSourceTest, ExportPreloadRoundTripsAcrossTiers) {
-  // A store exported from the dense tier must warm-start the sharded tier
-  // and vice versa: same counts, zero invocations on replay.
-  const std::vector<int64_t> frames = {0, 1, 2, 3, 50, 399};
-  ASSERT_TRUE(source_->RawCounts(frames, 320).ok());
-  ASSERT_TRUE(source_->RawCounts({5, 7}, 608, 0.5).ok());
-  OutputStore exported = source_->ExportStore();
-  EXPECT_EQ(exported.TotalEntries(), 8);
-
-  FrameOutputSource sharded(*dataset_, yolo_, ObjectClass::kCar);
-  sharded.set_dense_max_frames(0);
-  ASSERT_TRUE(sharded.Preload(exported).ok());
-  auto warm = sharded.RawCounts(frames, 320);
-  ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(sharded.model_invocations(), 0);
-  EXPECT_EQ(sharded.cache_hits(), static_cast<int64_t>(frames.size()));
-
-  FrameOutputSource dense(*dataset_, yolo_, ObjectClass::kCar);
-  ASSERT_TRUE(dense.Preload(sharded.ExportStore()).ok());
-  auto warm2 = dense.RawCounts(frames, 320);
-  ASSERT_TRUE(warm2.ok());
-  EXPECT_EQ(*warm2, *warm);
-  EXPECT_EQ(dense.model_invocations(), 0);
-  ASSERT_TRUE(dense.RawCount(5, 608, 0.5).ok());
-  EXPECT_EQ(dense.model_invocations(), 0);  // The 608/0.5 column carried over too.
-}
-
-TEST_F(OutputSourceTest, ShardedTierConcurrentHammerKeepsExactAccounting) {
-  // The hash tier's exactly-once discipline under overlapping concurrent
-  // callers (the dense tier's version is ConcurrentHammerKeepsExactAccounting
-  // above, which this dataset size routes to the dense tier by default).
-  source_->set_dense_max_frames(0);
+TEST_F(OutputSourceTest, MixedBatchedAndScalarHammerKeepsExactAccounting) {
+  // Overlapping concurrent callers that mix one batched request with scalar
+  // lookups over the head of their window: batched claims, scalar claims and
+  // in-flight waits race each other, and every key is still computed
+  // exactly once.
   constexpr int kThreads = 6;
   constexpr int64_t kWindow = 120;
   constexpr int64_t kStride = 30;
@@ -493,7 +408,7 @@ TEST_F(OutputSourceTest, ShardedTierConcurrentHammerKeepsExactAccounting) {
 }
 
 TEST_F(OutputSourceTest, DenseTierDuplicateHeavyConcurrentBatchesStayExact) {
-  // Duplicate-heavy batches over the dense tier, concurrently. Each request
+  // Duplicate-heavy batches, concurrently. Each request
   // repeats every frame of its window three times, so the dup-slot fill path
   // — which since the lock-discipline audit reads col.counts inside the same
   // col.mu critical section that installed the fresh results — races other
@@ -541,8 +456,8 @@ TEST_F(OutputSourceTest, DenseTierDuplicateHeavyConcurrentBatchesStayExact) {
 }
 
 TEST_F(OutputSourceTest, DenseTierConcurrentSameKeyComputesExactlyOnce) {
-  // All threads fight over one key on the dense tier: the per-column
-  // in-flight bitmap must admit exactly one computation.
+  // All threads fight over one key at 608px: the per-column in-flight
+  // bitmap must admit exactly one computation.
   constexpr int kThreads = 8;
   std::vector<std::thread> threads;
   std::atomic<bool> failed{false};

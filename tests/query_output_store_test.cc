@@ -2,7 +2,7 @@
 // warm-start Preload semantics (zero invocations, zero counter pollution),
 // Status-returning rejection of mismatched, truncated and corrupted files,
 // crash-atomicity of Save under injected I/O faults, per-column salvage of
-// partially corrupt files, v1 backward compatibility, and the
+// partially corrupt files, rejection of unknown format versions, and the
 // Scrub/RepairStore self-healing loop — loading never crashes and never
 // serves an unverified count, whatever the bytes.
 
@@ -33,7 +33,7 @@ using util::FaultEnvProfile;
 using video::ObjectClass;
 using video::ScenePreset;
 
-// v2 fixed-layout byte offsets (see output_store.h).
+// Fixed-layout byte offsets (see output_store.h).
 constexpr size_t kHeaderSize = 4 + 4 + 8 + 8 + 8 + 4 + 4;
 constexpr size_t kColumnMetaSize = 4 + 4 + 8 + 8 + 4 + 4 + 4;
 
@@ -345,83 +345,26 @@ TEST_F(OutputStoreTest, SalvageTalliesBindToTheInjectedRegistry) {
   EXPECT_EQ(second.GetCounter("output_store.salvage.calls")->Value(), 1);
 }
 
-// --- v1 backward compatibility ---------------------------------------------
+// --- Format version ----------------------------------------------------------
 
-// Hand-writes a v1-format file (joint payload CRC, no meta CRC) — the format
-// the previous release shipped — so compatibility is tested against frozen
-// bytes, not against a writer that no longer exists.
-std::vector<char> BuildV1File() {
-  std::vector<char> bytes;
-  auto put = [&bytes](const void* data, size_t n) {
-    const char* p = static_cast<const char*>(data);
-    bytes.insert(bytes.end(), p, p + n);
-  };
-  auto put32 = [&put](uint32_t v) { put(&v, 4); };
-  auto put64 = [&put](uint64_t v) { put(&v, 8); };
-
-  put32(0x434b4d53);  // magic "SMKC"
-  put32(1);           // version 1
-  put64(0xD5);        // dataset_id
-  put64(0x7E);        // model_id
-  put64(300);         // num_frames
-  put32(1);           // num_columns
-  put32(util::Crc32(bytes.data(), bytes.size()));  // header_crc
-
-  const int32_t resolution = 320;
-  const int32_t cls = static_cast<int32_t>(ObjectClass::kCar);
-  const int64_t contrast_q = 4096;
-  const std::vector<int64_t> frames = {0, 3, 17, 299};
-  const std::vector<int32_t> counts = {2, 0, 5, 11};
-  put(&resolution, 4);
-  put(&cls, 4);
-  put64(static_cast<uint64_t>(contrast_q));
-  put64(frames.size());
-  std::vector<char> payload;
-  payload.insert(payload.end(), reinterpret_cast<const char*>(frames.data()),
-                 reinterpret_cast<const char*>(frames.data()) + frames.size() * 8);
-  payload.insert(payload.end(), reinterpret_cast<const char*>(counts.data()),
-                 reinterpret_cast<const char*>(counts.data()) + counts.size() * 4);
-  put32(util::Crc32(payload.data(), payload.size()));  // joint payload_crc
-  put(payload.data(), payload.size());
-  return bytes;
-}
-
-TEST_F(OutputStoreTest, V1FileStillLoads) {
-  WriteBytes(BuildV1File());
-  auto loaded = OutputStore::Load(path_);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->dataset_id(), 0xD5u);
-  EXPECT_EQ(loaded->model_id(), 0x7Eu);
-  EXPECT_EQ(loaded->num_frames(), 300);
-  ASSERT_EQ(loaded->columns().size(), 1u);
-  EXPECT_EQ(loaded->columns()[0].frames, (std::vector<int64_t>{0, 3, 17, 299}));
-  EXPECT_EQ(loaded->columns()[0].counts, (std::vector<int>{2, 0, 5, 11}));
-}
-
-TEST_F(OutputStoreTest, V1ResaveUpgradesToV2) {
-  WriteBytes(BuildV1File());
-  auto loaded = OutputStore::Load(path_);
-  ASSERT_TRUE(loaded.ok());
-  ASSERT_TRUE(loaded->Save(path_).ok());
-  auto scrubbed = OutputStore::Scrub(util::Env::Default(), path_);
-  ASSERT_TRUE(scrubbed.ok());
-  EXPECT_EQ(scrubbed->file_version, 2u);
-  EXPECT_TRUE(scrubbed->clean());
-}
-
-TEST_F(OutputStoreTest, CorruptV1PayloadQuarantinesJointly) {
-  std::vector<char> bytes = BuildV1File();
-  bytes[bytes.size() - 1] ^= 0x01;
+TEST_F(OutputStoreTest, V1HeaderIsRejected) {
+  // Version 1 (a joint payload CRC per column, no meta CRC) is no longer
+  // read. A header that says version 1 — with a header CRC that verifies —
+  // is refused outright, by the strict and the salvage reader alike.
+  ASSERT_TRUE(MakeSampleStore().Save(path_).ok());
+  std::vector<char> bytes = ReadBytes();
+  const uint32_t version = 1;
+  std::memcpy(bytes.data() + 4, &version, sizeof(version));
+  const uint32_t header_crc = util::Crc32(bytes.data(), kHeaderSize - 4);
+  std::memcpy(bytes.data() + kHeaderSize - 4, &header_crc, sizeof(header_crc));
   WriteBytes(bytes);
+
+  auto loaded = OutputStore::Load(path_);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument);
   auto salvaged = OutputStore::Salvage(path_);
-  ASSERT_TRUE(salvaged.ok());
-  EXPECT_EQ(salvaged->report.file_version, 1u);
-  EXPECT_EQ(salvaged->report.columns_loaded, 0);
-  ASSERT_EQ(salvaged->report.quarantined.size(), 1u);
-  // v1 cannot tell frames from counts: the whole payload is suspect, so
-  // there is no repairable frame list.
-  EXPECT_EQ(salvaged->report.quarantined[0].verdict, ColumnVerdict::kPayloadCorrupt);
-  EXPECT_TRUE(salvaged->report.quarantined[0].frames.empty());
+  ASSERT_FALSE(salvaged.ok());
+  EXPECT_EQ(salvaged.status().code(), util::StatusCode::kInvalidArgument);
 }
 
 // --- Scrub / Repair round trip ---------------------------------------------

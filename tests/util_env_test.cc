@@ -20,7 +20,15 @@ std::vector<unsigned char> Bytes(const std::string& s) {
 
 class EnvTest : public ::testing::Test {
  protected:
-  void SetUp() override { path_ = testing::TempDir() + "/util_env_test.bin"; }
+  void SetUp() override {
+    // Unique per test: ctest -j runs every case as its own process, and a
+    // shared fixed path races one case's writes against another's TearDown.
+    // EnvTest and FaultEnvTest share this fixture, so the suite name is part
+    // of the path too.
+    const testing::TestInfo* info = testing::UnitTest::GetInstance()->current_test_info();
+    path_ = testing::TempDir() + "/util_env_test_" + info->test_suite_name() + "_" +
+            info->name() + ".bin";
+  }
   void TearDown() override {
     std::remove(path_.c_str());
     std::remove((path_ + ".tmp").c_str());
